@@ -7,7 +7,7 @@
 //!   --injections N      fault injections per structure (default 200)
 //!   --paper             paper configuration (2000 injections)
 //!   --seed S            campaign + input seed (default 2017)
-//!   --jobs N, -j N      replay worker threads (default: all cores);
+//!   --jobs N, -j N, -jN replay worker threads (default: all cores);
 //!                       results are bit-identical at any N
 //!   --threads T         alias for --jobs (kept for compatibility)
 //!   --smoke             tiny workload sizes (CI smoke run)
@@ -109,7 +109,8 @@ struct Args {
     strata: Option<StrataSpec>,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Parses the command line (without the program name).
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         command: "all".into(),
         injections: 200,
@@ -142,7 +143,7 @@ fn parse_args() -> Result<Args, String> {
         pilot: None,
         strata: None,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "fig1" | "fig2" | "fig3" | "findings" | "stats" | "all" | "outcomes" | "perf"
@@ -166,14 +167,11 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("bad --seed: {e}"))?;
             }
             "--jobs" | "-j" | "--threads" => {
-                args.threads = it
-                    .next()
-                    .ok_or_else(|| format!("{a} needs a value"))?
-                    .parse()
-                    .map_err(|e| format!("bad {a}: {e}"))?;
-                if args.threads == 0 {
-                    return Err(format!("{a} must be at least 1"));
-                }
+                let value = it.next().ok_or_else(|| format!("{a} needs a value"))?;
+                args.threads = parse_jobs(&a, &value)?;
+            }
+            attached if attached.len() > 2 && attached.starts_with("-j") => {
+                args.threads = parse_jobs("-j", &attached[2..])?;
             }
             "--smoke" => args.scale = Scale::Smoke,
             "--device" => args.device = Some(it.next().ok_or("--device needs a value")?),
@@ -267,6 +265,15 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// Parses a worker-thread count given to `flag` (at least 1).
+fn parse_jobs(flag: &str, value: &str) -> Result<usize, String> {
+    let jobs: usize = value.parse().map_err(|e| format!("bad {flag}: {e}"))?;
+    if jobs == 0 {
+        return Err(format!("{flag} must be at least 1"));
+    }
+    Ok(jobs)
+}
+
 /// Parses `--strata`: `default`, `full`, `none`, or a comma-separated
 /// subset of `liveness,cycle,bit,region`.
 fn parse_strata(spec: &str) -> Result<StrataSpec, String> {
@@ -346,7 +353,7 @@ commands:
                 selected with --device/--workload, first match wins)
 
 parallelism:
-  --jobs N (-j N, alias --threads) sets the replay worker-thread count.
+  --jobs N (-j N or -jN, alias --threads) sets the replay worker-thread count.
   The runner's determinism contract guarantees bit-identical campaign
   and study results at any job count: only wall-clock time changes.
 
@@ -419,7 +426,7 @@ provenance:
   results are identical with or without it.";
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}\n{HELP}");
@@ -2049,4 +2056,40 @@ fn ablate_ace(
         println!();
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        parse_args(argv.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn jobs_accepts_separate_and_attached_forms() {
+        for argv in [
+            &["--jobs", "3"][..],
+            &["-j", "3"],
+            &["--threads", "3"],
+            &["-j3"],
+            &["bench-campaign", "--injections", "2000", "-j3"],
+        ] {
+            assert_eq!(parse(argv).expect("valid jobs").threads, 3, "{argv:?}");
+        }
+    }
+
+    fn parse_err(argv: &[&str]) -> String {
+        parse(argv).err().expect("argument list must be rejected")
+    }
+
+    #[test]
+    fn jobs_rejects_zero_and_non_numbers_alike() {
+        assert_eq!(parse_err(&["-j0"]), parse_err(&["-j", "0"]));
+        assert_eq!(parse_err(&["-j0"]), "-j must be at least 1");
+        assert_eq!(parse_err(&["-jx"]), parse_err(&["-j", "x"]));
+        assert!(parse_err(&["-jx"]).starts_with("bad -j: "));
+        assert_eq!(parse_err(&["--jobs", "0"]), "--jobs must be at least 1");
+        assert_eq!(parse_err(&["-j"]), "-j needs a value");
+    }
 }

@@ -510,6 +510,11 @@ impl Gpu {
     /// (completion check, watchdog, fault application, SM stepping, block
     /// refill — in the same order as the monolithic launch loop).
     ///
+    /// Every SM is stepped every cycle, but an SM that found nothing to
+    /// issue sleeps until its `wake` cycle and its steps return at once
+    /// until then; a block dispatch, a control fault or the launch's reset
+    /// wakes it early (see [`Sm::step`]).
+    ///
     /// # Errors
     ///
     /// [`SimError::Due`] ends the launch exactly as [`Gpu::launch`] would;

@@ -72,6 +72,12 @@ pub struct Sm {
     pub(crate) overlay: Option<Box<SmOverlay>>,
     sched_ptr: usize,
     gto_current: Option<usize>,
+    /// Earliest cycle at which any resident warp can issue; [`Sm::step`]
+    /// returns at once before it. Set by a step that issues nothing and
+    /// reset to 0 wherever a warp's readiness changes outside `step`:
+    /// [`Sm::reset`], [`Sm::try_dispatch`] and
+    /// [`Sm::apply_control_fault`].
+    wake: u64,
     /// Set when a block retired since the device last redistributed work.
     pub retired_flag: bool,
     /// Execution counters.
@@ -126,6 +132,7 @@ impl Sm {
             overlay: None,
             sched_ptr: 0,
             gto_current: None,
+            wake: 0,
             retired_flag: false,
             stats: SmStats::default(),
         }
@@ -160,6 +167,7 @@ impl Sm {
         }
         self.sched_ptr = 0;
         self.gto_current = None;
+        self.wake = 0;
         self.retired_flag = false;
     }
 
@@ -236,6 +244,7 @@ impl Sm {
     /// was corrupted — an empty or finished slot is a no-op, i.e. the
     /// fault is architecturally masked.
     pub fn apply_control_fault(&mut self, target: ControlTarget, word: u32, bit: u8) -> bool {
+        self.wake = 0;
         match target {
             ControlTarget::SchedulerSlot => match self.warp_slot_mut(word) {
                 Some(w) => {
@@ -603,42 +612,40 @@ impl Sm {
             },
             cycle,
         );
+        self.wake = 0;
         true
     }
 
-    /// Checks whether the warp's next instruction has all operands ready.
-    fn deps_ready(&self, warp: &Warp, instr: &Instr, cycle: u64) -> bool {
-        let mut ready = true;
-        if let Some(d) = instr.dst_reg() {
-            ready &= match d {
-                Reg::V(VReg(r)) => warp.vreg_ready[r as usize] <= cycle,
-                Reg::S(SReg(r)) => warp.sreg_ready[r as usize] <= cycle,
-            };
+    /// The first cycle at which `warp` can issue its next instruction: the
+    /// latest of its `next_issue` and the scoreboard release of every
+    /// register and predicate the instruction reads or writes. `None` for
+    /// a finished warp or one parked at a barrier.
+    fn issue_cycle(warp: &Warp, kernel: &LoweredKernel) -> Option<u64> {
+        if warp.finished || warp.at_barrier {
+            return None;
         }
+        let instr = &kernel.body()[warp.pc];
+        let reg_ready = |r: Reg| match r {
+            Reg::V(VReg(i)) => warp.vreg_ready[i as usize],
+            Reg::S(SReg(i)) => warp.sreg_ready[i as usize],
+        };
+        let mut at = warp.next_issue.max(instr.dst_reg().map_or(0, reg_ready));
         instr.for_each_src(|op| {
             if let Operand::Reg(r) = op {
-                ready &= match r {
-                    Reg::V(VReg(i)) => warp.vreg_ready[i as usize] <= cycle,
-                    Reg::S(SReg(i)) => warp.sreg_ready[i as usize] <= cycle,
-                };
+                at = at.max(reg_ready(r));
             }
         });
-        if let Some(p) = instr.src_pred() {
-            ready &= warp.pred_ready[p.0 as usize] <= cycle;
+        for p in [instr.src_pred(), instr.dst_pred()].into_iter().flatten() {
+            at = at.max(warp.pred_ready[p.0 as usize]);
         }
-        if let Some(p) = instr.dst_pred() {
-            ready &= warp.pred_ready[p.0 as usize] <= cycle;
-        }
-        ready
+        Some(at)
     }
 
     fn warp_issuable(&self, slot: usize, kernel: &LoweredKernel, cycle: u64) -> bool {
-        match &self.warps[slot] {
-            Some(w) if !w.finished && !w.at_barrier && w.next_issue <= cycle => {
-                self.deps_ready(w, &kernel.body()[w.pc], cycle)
-            }
-            _ => false,
-        }
+        self.warps[slot]
+            .as_ref()
+            .and_then(|w| Self::issue_cycle(w, kernel))
+            .is_some_and(|at| at <= cycle)
     }
 
     /// Picks the next warp to issue from, per the scheduling policy.
@@ -675,6 +682,14 @@ impl Sm {
 
     /// Runs one SM cycle: issues up to `issue_width` instructions.
     ///
+    /// A step that issues nothing puts the SM to sleep until the earliest
+    /// cycle any warp can issue (`wake`), and steps before it return at
+    /// once. Only an issuing step, a dispatch, a control fault or a reset
+    /// changes a warp's readiness, and the last three reset `wake`, so the
+    /// skipped cycles are exactly those on which the scheduler would have
+    /// found nothing: a failed pick leaves the GTO and LRR state as a
+    /// skipped cycle does.
+    ///
     /// # Errors
     ///
     /// Propagates any [`Due`] raised by the executed instructions.
@@ -689,6 +704,15 @@ impl Sm {
         mem_sys: &mut MemorySystem,
         obs: &mut O,
     ) -> Result<(), Due> {
+        if cycle < self.wake {
+            debug_assert!(
+                (0..self.warps.len()).all(|s| !self.warp_issuable(s, kernel, cycle)),
+                "SM {} slept through an issuable cycle {cycle} (wake {})",
+                self.id,
+                self.wake
+            );
+            return Ok(());
+        }
         let mut issued = false;
         for _ in 0..arch.issue_width {
             let Some(slot) = self.pick_warp(kernel, cycle, arch.scheduler) else {
@@ -699,6 +723,15 @@ impl Sm {
         }
         if issued {
             self.stats.busy_cycles += 1;
+        } else {
+            // Sleep until the first warp can issue (`u64::MAX`: until woken).
+            self.wake = self
+                .warps
+                .iter()
+                .flatten()
+                .filter_map(|w| Self::issue_cycle(w, kernel))
+                .min()
+                .unwrap_or(u64::MAX);
         }
         Ok(())
     }
@@ -1724,5 +1757,71 @@ mod tests {
             );
         }
         assert_eq!(sm.parked_warps(), 0);
+    }
+
+    /// A fresh SM with the iota kernel and the memory `step` needs.
+    fn iota_setup(arch: &ArchConfig) -> (Sm, LoweredKernel, GlobalMemory, MemorySystem, u32) {
+        let mut b = simt_isa::KernelBuilder::new("iota", 1);
+        let out = b.param(0);
+        let gid = b.vreg();
+        let addr = b.vreg();
+        b.global_tid_x(gid);
+        b.word_addr(addr, out, gid);
+        b.st(MemSpace::Global, addr, gid);
+        let kernel = simt_isa::lower(&b.build().unwrap(), arch.caps()).unwrap();
+        let mut mem = GlobalMemory::new();
+        let buf = mem.alloc_words(8);
+        let mem_sys = MemorySystem::new(
+            arch.num_sms,
+            arch.l1,
+            arch.l2,
+            arch.lat,
+            arch.coalesce_bytes,
+        );
+        (Sm::new(0, arch), kernel, mem, mem_sys, buf)
+    }
+
+    #[test]
+    fn dispatch_wakes_a_sleeping_sm() {
+        let arch = ArchConfig::small_test_gpu();
+        let (mut sm, k, mut mem, mut mem_sys, buf) = iota_setup(&arch);
+        let cfg = LaunchConfig::linear(1, 8);
+        let obs = &mut crate::observer::NoopObserver;
+        sm.step(0, &k, &cfg, &arch, &mut mem, &mut mem_sys, obs)
+            .unwrap();
+        assert_eq!(sm.wake, u64::MAX, "an empty SM sleeps until woken");
+        assert!(sm.try_dispatch(&k, &cfg, (0, 0), &[buf], &arch, 0, obs));
+        sm.step(1, &k, &cfg, &arch, &mut mem, &mut mem_sys, obs)
+            .unwrap();
+        assert_eq!(
+            sm.stats.warp_instructions, 1,
+            "the new block issues at once"
+        );
+    }
+
+    #[test]
+    fn control_fault_wakes_a_sleeping_sm() {
+        let arch = ArchConfig::small_test_gpu();
+        let (mut sm, k, mut mem, mut mem_sys, buf) = iota_setup(&arch);
+        let cfg = LaunchConfig::linear(1, 8);
+        let obs = &mut crate::observer::NoopObserver;
+        assert!(sm.try_dispatch(&k, &cfg, (0, 0), &[buf], &arch, 0, obs));
+        let slot = sm.warps.iter().position(Option::is_some).unwrap();
+        sm.warps[slot].as_mut().unwrap().next_issue = 1 << 40;
+        sm.step(0, &k, &cfg, &arch, &mut mem, &mut mem_sys, obs)
+            .unwrap();
+        assert_eq!(
+            sm.wake,
+            1 << 40,
+            "sleeps until the stalled warp's issue slot"
+        );
+        // Flipping bit 40 of the slot's issue timing makes it ready now.
+        assert!(sm.apply_control_fault(ControlTarget::SchedulerSlot, slot as u32, 40));
+        sm.step(1, &k, &cfg, &arch, &mut mem, &mut mem_sys, obs)
+            .unwrap();
+        assert_eq!(
+            sm.stats.warp_instructions, 1,
+            "the corrupted warp issues at once"
+        );
     }
 }

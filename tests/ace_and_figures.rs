@@ -4,9 +4,11 @@
 use gpu_reliability_repro::archs::{all_devices, quadro_fx_5600, quadro_fx_5800};
 use gpu_reliability_repro::reliability::ace::{AceAnalyzer, AceMode};
 use gpu_reliability_repro::reliability::campaign::CampaignConfig;
-use gpu_reliability_repro::reliability::study::{run_study, StudyConfig};
+use gpu_reliability_repro::reliability::study::{run_study, run_study_parallel, StudyConfig};
 use gpu_reliability_repro::sim::{Gpu, Structure};
 use gpu_reliability_repro::workloads::{MatrixMul, Transpose, VectorAdd, Workload};
+use grel_bench::{workload_set, Scale};
+use grel_telemetry::json::Json;
 
 fn smoke_cfg(injections: u32) -> StudyConfig {
     StudyConfig {
@@ -130,4 +132,45 @@ fn study_reproduces_figure_shapes_at_smoke_scale() {
         "r = {}",
         f.rf_avf_occupancy_corr
     );
+}
+
+/// Cycle-exact timing pin: the fault-free figures of all 40 points at
+/// the settings of `ci/fault-model-baseline.json` (`repro fig1 --smoke
+/// --seed 7`) must equal the recorded ones. Injections are zero because
+/// only the golden pass feeds these columns.
+#[test]
+fn golden_timing_and_ace_match_the_recorded_baseline() {
+    let text = include_str!("../ci/fault-model-baseline.json");
+    let baseline = Json::parse(text).expect("baseline parses");
+    let baseline = baseline.as_arr().expect("baseline is an array");
+    let cfg = StudyConfig {
+        campaign: CampaignConfig {
+            injections: 0,
+            ..CampaignConfig::quick(7)
+        },
+        workload_seed: 7,
+        fi_on_unused_lds: false,
+        provenance: false,
+        ace_mode: Default::default(),
+        sampling: Default::default(),
+    };
+    let study = run_study_parallel(&all_devices(), &workload_set(Scale::Smoke, 7), &cfg, 2)
+        .expect("fault-free study");
+    assert_eq!(study.points.len(), baseline.len());
+    for (p, b) in study.points.iter().zip(baseline) {
+        let at = format!("{} / {}", p.workload, p.device);
+        assert_eq!(b.get("workload").and_then(Json::as_str), Some(&*p.workload));
+        assert_eq!(b.get("device").and_then(Json::as_str), Some(&*p.device));
+        assert_eq!(
+            b.get("cycles").and_then(Json::as_u64),
+            Some(p.cycles),
+            "{at}"
+        );
+        let num = |key: &str| b.get(key).and_then(Json::as_f64);
+        assert_eq!(num("rf_avf_ace"), Some(p.rf.avf_ace), "{at}: rf_avf_ace");
+        assert_eq!(num("rf_occ"), Some(p.rf.occupancy), "{at}: rf_occ");
+        assert_eq!(num("lds_avf_ace"), Some(p.lds.avf_ace), "{at}: lds_avf_ace");
+        assert_eq!(num("lds_occ"), Some(p.lds.occupancy), "{at}: lds_occ");
+        assert_eq!(num("srf_avf_ace"), p.srf_avf_ace, "{at}: srf_avf_ace");
+    }
 }
