@@ -596,29 +596,18 @@ fn render_body(data: &RunData, w: &mut impl Write) -> fmt::Result {
 
     // -- Oracle pruning ------------------------------------------------
     let pruned = counter_sum(data, "campaign_pruned_total");
-    let early = counter_sum(data, "campaign_early_exit_total");
-    if pruned + early > 0 {
+    if pruned > 0 {
         writeln!(w, "## Oracle pruning")?;
         writeln!(w)?;
-        if pruned > 0 {
-            writeln!(
-                w,
-                "- {} of {} injection(s) ({:.1}%) pre-classified masked by the \
-                 lifetime oracle — the flipped word was dead at the fault \
-                 cycle, so no replay ran",
-                fmt_count(pruned),
-                fmt_count(total_inj),
-                ratio(pruned as f64, total_inj as f64) * 100.0
-            )?;
-        }
-        if early > 0 {
-            writeln!(
-                w,
-                "- {} replay(s) terminated early as provably masked once the \
-                 flipped word was erased without being read",
-                fmt_count(early)
-            )?;
-        }
+        writeln!(
+            w,
+            "- {} of {} injection(s) ({:.1}%) pre-classified masked by the \
+             lifetime oracle — the flipped word was dead at the fault \
+             cycle, so no replay ran",
+            fmt_count(pruned),
+            fmt_count(total_inj),
+            ratio(pruned as f64, total_inj as f64) * 100.0
+        )?;
         writeln!(w)?;
     }
 
@@ -712,7 +701,7 @@ fn render_body(data: &RunData, w: &mut impl Write) -> fmt::Result {
         writeln!(
             w,
             "- {} of {} replay cycles skipped ({:.1}%) via checkpoints, \
-             oracle pruning and early exits",
+             oracle pruning and batching",
             fmt_count(saved),
             fmt_count(replayed + saved),
             ratio(saved as f64, (replayed + saved) as f64) * 100.0
@@ -1162,14 +1151,12 @@ mod tests {
         let jsonl = [
             sample().as_str(),
             r#"{"event":"counter","name":"campaign_pruned_total","value":5}"#,
-            r#"{"event":"counter","name":"campaign_early_exit_total","value":2}"#,
             r#"{"event":"counter","name":"campaign_rung_hits_total{rung=\"pruned\"}","value":5}"#,
         ]
         .join("\n");
         let md = render_run_report(&jsonl).unwrap();
         assert!(md.contains("## Oracle pruning"), "{md}");
         assert!(md.contains("5 of 12 injection(s) (41.7%)"), "{md}");
-        assert!(md.contains("2 replay(s) terminated early"), "{md}");
         // The synthetic "pruned" rung shows up in the rung table.
         assert!(md.contains("| pruned | 5 |"), "{md}");
     }

@@ -3,15 +3,18 @@
 //! deeper cuts the paper's "full scale of the study" paragraph promises
 //! for follow-up work.
 
+use crate::ace::LifetimeOracle;
 use crate::campaign::{
-    golden_run, run_injections_checkpointed, sample_model_sites, CampaignConfig, CheckpointLadder,
-    Outcome,
+    golden_run, sample_model_sites, structure_words, CampaignConfig, CheckpointLadder, Outcome,
+    Tally,
 };
+use crate::runner::replay_sites;
 use gpu_workloads::Workload;
+use grel_telemetry::NoopHook;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use simt_sim::{ArchConfig, Due, FaultSite, Gpu, NoopObserver, SimError, Structure};
+use simt_sim::{ArchConfig, FaultModelKind, FaultSite, Gpu, NoopObserver, SimError, Structure};
 
 /// One injection with its classified outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -26,7 +29,8 @@ pub struct SiteOutcome {
 ///
 /// # Errors
 ///
-/// Fails only if the fault-free golden run fails.
+/// Fails if the fault-free golden run fails, or if a replay fails with a
+/// non-DUE simulator error.
 ///
 /// # Example
 /// ```
@@ -60,7 +64,21 @@ pub fn detailed_campaign(
         cfg.seed,
     );
     let ladder = CheckpointLadder::build(arch, workload, &golden, &cfg)?;
-    let outcomes = run_injections_checkpointed(arch, workload, &golden, &ladder, &sites, cfg)?;
+    // Pruning is exact, so the oracle only buys speed; it is unsound for
+    // the non-transient kinds and never captured for them.
+    let oracle = (cfg.prune && cfg.fault_model == FaultModelKind::Transient)
+        .then(|| LifetimeOracle::capture(arch, workload))
+        .transpose()?;
+    let outcomes = replay_sites(
+        arch,
+        workload,
+        &golden,
+        &sites,
+        cfg,
+        &ladder,
+        oracle.as_ref(),
+        &NoopHook,
+    )?;
     Ok(sites
         .into_iter()
         .zip(outcomes)
@@ -137,7 +155,8 @@ pub fn due_fraction(detail: &[SiteOutcome]) -> f64 {
 ///
 /// # Errors
 ///
-/// Fails only if the golden run fails.
+/// Fails if the golden run fails, or if a replay fails with a non-DUE
+/// simulator error.
 ///
 /// # Example
 /// ```
@@ -161,17 +180,13 @@ pub fn mbu_campaign(
     structure: Structure,
     width: u8,
     cfg: CampaignConfig,
-) -> Result<crate::campaign::Tally, SimError> {
+) -> Result<Tally, SimError> {
     assert!((1..=32).contains(&width), "MBU width must be 1..=32");
     let golden = golden_run(arch, workload)?;
-    let words = match structure {
-        Structure::VectorRegisterFile => arch.rf_words_per_sm(),
-        Structure::LocalMemory => arch.lds_words_per_sm(),
-        Structure::ScalarRegisterFile => arch.srf_words_per_sm(),
-    };
+    let words = structure_words(arch, structure);
     assert!(words > 0, "device has no {structure}");
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x6b75);
-    let mut tally = crate::campaign::Tally::default();
+    let mut tally = Tally::default();
     for _ in 0..cfg.injections {
         let sm = rng.gen_range(0..arch.num_sms);
         let word = rng.gen_range(0..words);
@@ -181,21 +196,9 @@ pub fn mbu_campaign(
             .map(|i| FaultSite::new(structure, sm, word, first_bit + i, cycle))
             .collect();
         let mut gpu = Gpu::new(arch.clone());
-        gpu.set_watchdog(golden.cycles * cfg.watchdog_factor + 10_000);
+        gpu.set_watchdog(golden.watchdog(cfg.watchdog_factor));
         gpu.arm_faults(&sites);
-        let outcome = match workload.run(&mut gpu, &mut NoopObserver) {
-            Ok(out) if out == golden.outputs => Outcome::Masked,
-            Ok(_) => Outcome::Sdc,
-            Err(SimError::Due(Due::WatchdogTimeout { .. })) => Outcome::Hang,
-            Err(SimError::Due(_)) => Outcome::Due,
-            Err(e) => return Err(e),
-        };
-        match outcome {
-            Outcome::Masked => tally.masked += 1,
-            Outcome::Sdc => tally.sdc += 1,
-            Outcome::Due => tally.due += 1,
-            Outcome::Hang => tally.hang += 1,
-        }
+        tally.add(golden.outcome(workload.run(&mut gpu, &mut NoopObserver))?);
     }
     Ok(tally)
 }
@@ -269,6 +272,18 @@ mod tests {
         assert_eq!(t2.total(), 10);
         let t1 = mbu_campaign(&arch, &w, Structure::VectorRegisterFile, 1, cfg(10)).unwrap();
         assert_eq!(t1.total(), 10);
+    }
+
+    #[test]
+    fn mbu_watchdog_budget_saturates_instead_of_overflowing() {
+        // `golden_cycles · u64::MAX + 10_000` would overflow; the budget
+        // must clamp to "effectively never" and the campaign complete.
+        let arch = quadro_fx_5600();
+        let w = VectorAdd::new(64, 1);
+        let mut c = cfg(4);
+        c.watchdog_factor = u64::MAX;
+        let t = mbu_campaign(&arch, &w, Structure::VectorRegisterFile, 2, c).unwrap();
+        assert_eq!(t.total(), 4);
     }
 
     #[test]

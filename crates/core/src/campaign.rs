@@ -27,7 +27,7 @@
 //! bit-identical to the golden execution, so checkpointed replay produces
 //! exactly the same outcome sequence as from-zero replay — only faster.
 
-use crate::ace::{AceAnalyzer, LifetimeOracle};
+use crate::ace::LifetimeOracle;
 use crate::runner::replay_sites;
 use crate::stats::{error_margin, fault_population, Proportion, Z_99};
 use gpu_workloads::Workload;
@@ -36,9 +36,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use simt_sim::{
-    ArchConfig, Checkpoint, ControlTarget, Due, FaultKind, FaultModelKind, FaultSite, GlobalWrite,
-    Gpu, MaskProbe, NoopObserver, Session, SessionStatus, SimError, Structure, TraceObserver,
-    TraceRecord,
+    ArchConfig, Checkpoint, ControlTarget, Due, FaultKind, FaultModelKind, FaultSite, Gpu,
+    NoopObserver, Session, SessionStatus, SimError, SimObserver, Structure,
 };
 use std::fmt;
 use std::time::Instant;
@@ -181,7 +180,7 @@ impl Tally {
 
 /// Campaign parameters.
 ///
-/// The checkpoint, pruning and early-exit fields tune replay
+/// The checkpoint, pruning and batching fields tune replay
 /// accelerators and change only wall-clock time, never outcomes:
 ///
 /// # Example
@@ -203,7 +202,7 @@ impl Tally {
 ///
 /// // The lifetime-oracle fast path is on by default (`repro --no-prune`
 /// // reaches the slow path); tallies are identical either way.
-/// assert!(paper.prune && paper.early_exit);
+/// assert!(paper.prune);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CampaignConfig {
@@ -230,13 +229,6 @@ pub struct CampaignConfig {
     /// replay. Exact — the oracle over-approximates liveness, never the
     /// reverse — so tallies are bit-identical with pruning on or off.
     pub prune: bool,
-    /// Terminate a replay as `Masked` the moment the flipped word is
-    /// erased (clean overwrite or per-launch reset) without ever having
-    /// been read. Only consulted when the oracle is off: a site that
-    /// survives pruning is by construction read before any clean
-    /// overwrite, so the probe could never fire. Only sound for
-    /// transient flips — the probe stays disarmed for other kinds.
-    pub early_exit: bool,
     /// Which fault model the campaign samples and injects. The default
     /// ([`FaultModelKind::Transient`]) reproduces the single-bit-flip
     /// campaigns bit-for-bit; the stuck-at and control models draw from
@@ -274,7 +266,6 @@ impl CampaignConfig {
             checkpoint_interval: 0,
             checkpoint_budget_bytes: 0,
             prune: true,
-            early_exit: true,
             fault_model: FaultModelKind::Transient,
             batch: true,
             convergence: 100,
@@ -303,6 +294,33 @@ pub struct GoldenRun {
     pub outputs: Vec<u32>,
     /// Total application cycles.
     pub cycles: u64,
+}
+
+impl GoldenRun {
+    /// The watchdog cycle budget every replay of this run is armed with:
+    /// `factor` times the fault-free cycle count plus 10,000 cycles of
+    /// slack. Saturating: a pathological `factor` (up to `u64::MAX`)
+    /// clamps to an effectively infinite budget instead of overflowing.
+    pub(crate) fn watchdog(&self, factor: u64) -> u64 {
+        self.cycles.saturating_mul(factor).saturating_add(10_000)
+    }
+
+    /// Classifies a replay result against the fault-free outputs.
+    ///
+    /// # Errors
+    ///
+    /// A [`SimError::Due`] is a classification ([`Outcome::Hang`] for a
+    /// watchdog kill, [`Outcome::Due`] otherwise); any other error means
+    /// the harness itself broke and is returned.
+    pub(crate) fn outcome(&self, result: Result<Vec<u32>, SimError>) -> Result<Outcome, SimError> {
+        match result {
+            Ok(out) if out == self.outputs => Ok(Outcome::Masked),
+            Ok(_) => Ok(Outcome::Sdc),
+            Err(SimError::Due(Due::WatchdogTimeout { .. })) => Ok(Outcome::Hang),
+            Err(SimError::Due(_)) => Ok(Outcome::Due),
+            Err(e) => Err(e),
+        }
+    }
 }
 
 /// Runs the workload fault-free, capturing golden output and cycles.
@@ -362,28 +380,6 @@ pub fn golden_run_hooked<H: TelemetryHook>(
         }
     }
     Ok(golden)
-}
-
-/// Runs the workload fault-free under the [`AceAnalyzer`], returning the
-/// golden run and the analyzer (ACE AVF + occupancy for every structure).
-///
-/// # Errors
-///
-/// Propagates launch failures.
-pub fn golden_run_with_ace(
-    arch: &ArchConfig,
-    workload: &dyn Workload,
-) -> Result<(GoldenRun, AceAnalyzer), SimError> {
-    let mut gpu = Gpu::new(arch.clone());
-    let mut ace = AceAnalyzer::new(arch);
-    let outputs = workload.run(&mut gpu, &mut ace)?;
-    Ok((
-        GoldenRun {
-            outputs,
-            cycles: gpu.app_cycle(),
-        },
-        ace,
-    ))
 }
 
 /// Result of a fault-injection campaign on one structure.
@@ -683,13 +679,7 @@ pub fn campaign_population(
     let structure_bits = match model {
         // Storage models: every bit of every word of the structure.
         FaultModelKind::Transient | FaultModelKind::Stuck0 | FaultModelKind::Stuck1 => {
-            (match structure {
-                Structure::VectorRegisterFile => arch.rf_words_per_sm(),
-                Structure::LocalMemory => arch.lds_words_per_sm(),
-                Structure::ScalarRegisterFile => arch.srf_words_per_sm(),
-            }) as u64
-                * 32
-                * arch.num_sms as u64
+            structure_words(arch, structure) as u64 * 32 * arch.num_sms as u64
         }
         // Control model: 4 targets × 32 bits per warp slot per SM.
         FaultModelKind::Control => control_population_bits(arch),
@@ -867,8 +857,23 @@ impl CheckpointLadder {
     }
 }
 
-/// Classifies one injection replay on a caller-owned device, resuming
-/// from `ckpt` when given.
+/// Where a scalar replay starts.
+#[derive(Clone, Copy)]
+pub(crate) enum Start<'a> {
+    /// Cycle zero on a fresh device.
+    Zero,
+    /// A golden checkpoint at or before the fault cycle.
+    Rung(&'a Checkpoint),
+    /// A snapshot of a batched shared pass: the lane's overlay diff is
+    /// materialised into physical state before the replay runs.
+    Fork(&'a Checkpoint, usize),
+}
+
+/// Replays one injection on a caller-owned device and classifies it —
+/// the one scalar replay step behind campaign, batch-fork, batch-fallback
+/// and provenance replays. `observer` only watches
+/// ([`NoopObserver`] untraced, a [`simt_sim::TraceObserver`] for
+/// provenance), so it never changes the outcome.
 ///
 /// `gpu` is a scratch device owned by the replaying worker: a checkpoint
 /// resume overwrites it in place (so the worker pays for the device
@@ -883,57 +888,46 @@ impl CheckpointLadder {
 /// validate, an exhausted allocator — means the harness itself broke and
 /// is propagated to the caller instead of being folded into the tally.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn classify_on<H: TelemetryHook>(
+pub(crate) fn classify_on<H: TelemetryHook, O: SimObserver>(
     gpu: &mut Gpu,
     arch: &ArchConfig,
     workload: &dyn Workload,
     golden: &GoldenRun,
     site: FaultSite,
     watchdog_factor: u64,
-    early_exit: bool,
-    ckpt: Option<&Checkpoint>,
+    start: Start<'_>,
+    observer: &mut O,
     hook: &H,
 ) -> Result<Outcome, SimError> {
-    // Saturating: a pathological `watchdog_factor` (up to `u64::MAX`)
-    // clamps to an effectively-infinite budget instead of overflowing.
-    let watchdog = golden
-        .cycles
-        .saturating_mul(watchdog_factor)
-        .saturating_add(10_000);
-    // The clean-overwrite early exit is only sound for transient flips:
-    // a stuck-at cell is re-asserted by the very overwrite the probe
-    // would treat as masking, and a control fault never lives in a
-    // storage word. The probe itself is also gated (belt and braces),
-    // but disarming here skips the per-event probe cost entirely.
-    let early_exit = early_exit && site.is_transient();
-    // (replay result, early-exited?, cycles skipped, instructions
-    // inherited from the checkpoint prefix, session restore counters).
-    let (result, exited, start_cycle, base_instructions, session_tel) = match ckpt {
-        Some(ck) => {
-            let mut session = Session::resume(&mut *gpu, ck);
-            let base = if H::ENABLED {
-                session.gpu().exec_totals().warp_instructions
-            } else {
-                0
-            };
-            session.gpu_mut().set_watchdog(watchdog);
+    let watchdog = golden.watchdog(watchdog_factor);
+    // (replay result, cycles skipped, instructions inherited from the
+    // checkpoint prefix, session restore counters).
+    let (result, start_cycle, base_instructions, session_tel) = {
+        let (mut session, start_cycle) = match start {
+            Start::Zero => {
+                *gpu = Gpu::new(arch.clone());
+                (Session::new(&mut *gpu, workload.plan()), 0)
+            }
+            Start::Rung(ck) | Start::Fork(ck, _) => (Session::resume(&mut *gpu, ck), ck.cycle()),
+        };
+        let base = if H::ENABLED {
+            session.gpu().exec_totals().warp_instructions
+        } else {
+            0
+        };
+        session.gpu_mut().set_watchdog(watchdog);
+        if let Start::Fork(_, lane) = start {
+            session.gpu_mut().materialize_scenario(lane);
+        }
+        // A checkpoint is captured before the fault-application step of
+        // its own cycle, so a fault at or past it is still pending and is
+        // armed here; a forked lane's earlier flip already lives in the
+        // overlay diff just materialised.
+        if site.cycle >= start_cycle {
             session.gpu_mut().arm_fault(site);
-            let (r, exited) = drive_replay(&mut session, golden, site, arch, early_exit);
-            let tel = *session.telemetry();
-            (r, exited, ck.cycle(), base, tel)
         }
-        None => {
-            *gpu = Gpu::new(arch.clone());
-            gpu.set_watchdog(watchdog);
-            gpu.arm_fault(site);
-            let (r, exited) = if early_exit {
-                let mut session = Session::new(&mut *gpu, workload.plan());
-                drive_replay(&mut session, golden, site, arch, true)
-            } else {
-                (workload.run(gpu, &mut NoopObserver), false)
-            };
-            (r, exited, 0, 0, simt_sim::SessionTelemetry::default())
-        }
+        let r = session.run_to_completion(observer);
+        (r, start_cycle, base, *session.telemetry())
     };
     if H::ENABLED {
         hook.count(
@@ -941,13 +935,6 @@ pub(crate) fn classify_on<H: TelemetryHook>(
             gpu.app_cycle().saturating_sub(start_cycle),
         );
         hook.count("campaign_cycles_saved_total", start_cycle);
-        if exited {
-            hook.count("campaign_early_exit_total", 1);
-            hook.count(
-                "campaign_cycles_saved_total",
-                golden.cycles.saturating_sub(gpu.app_cycle()),
-            );
-        }
         hook.count(
             "sim_instructions_total",
             gpu.exec_totals()
@@ -962,95 +949,29 @@ pub(crate) fn classify_on<H: TelemetryHook>(
             );
         }
     }
-    match result {
-        Ok(out) if out == golden.outputs => Ok(Outcome::Masked),
-        Ok(_) => Ok(Outcome::Sdc),
-        Err(SimError::Due(Due::WatchdogTimeout { .. })) => {
-            if H::ENABLED {
-                record_watchdog_kill(
-                    gpu,
-                    arch,
-                    workload,
-                    golden,
-                    site,
-                    watchdog,
-                    start_cycle,
-                    hook,
-                );
-            }
-            Ok(Outcome::Hang)
-        }
-        Err(SimError::Due(_)) => Ok(Outcome::Due),
-        Err(e) => Err(e),
+    let outcome = golden.outcome(result)?;
+    if H::ENABLED && outcome == Outcome::Hang {
+        // Timing evidence for a watchdog kill: how far the hung replay
+        // got against its cycle budget, and the cycles it burned before
+        // the harness cut it off (the cost a tighter `watchdog_factor`
+        // would recover).
+        let cycle = gpu.app_cycle();
+        hook.count(
+            "campaign_watchdog_cycles_total",
+            cycle.saturating_sub(start_cycle),
+        );
+        hook.event(
+            &Event::new("watchdog.fired")
+                .field("workload", workload.name())
+                .field("device", arch.name.as_str())
+                .field("kind", site.kind.as_str())
+                .field("site", site.to_string())
+                .field("cycle", cycle)
+                .field("budget", watchdog)
+                .field("golden_cycles", golden.cycles),
+        );
     }
-}
-
-/// Timing evidence for a watchdog kill: how far the hung replay got
-/// against its cycle budget, and the cycles it burned before the
-/// harness cut it off (the cost a tighter `watchdog_factor` would
-/// recover). Shared by the plain and traced classify paths.
-#[allow(clippy::too_many_arguments)]
-fn record_watchdog_kill<H: TelemetryHook>(
-    gpu: &Gpu,
-    arch: &ArchConfig,
-    workload: &dyn Workload,
-    golden: &GoldenRun,
-    site: FaultSite,
-    budget: u64,
-    start_cycle: u64,
-    hook: &H,
-) {
-    let cycle = gpu.app_cycle();
-    hook.count(
-        "campaign_watchdog_cycles_total",
-        cycle.saturating_sub(start_cycle),
-    );
-    hook.event(
-        &Event::new("watchdog.fired")
-            .field("workload", workload.name())
-            .field("device", arch.name.as_str())
-            .field("kind", site.kind.as_str())
-            .field("site", site.to_string())
-            .field("cycle", cycle)
-            .field("budget", budget)
-            .field("golden_cycles", golden.cycles),
-    );
-}
-
-/// Drives one replay session to completion, abandoning it early with the
-/// golden outputs when `early_exit` is set and a [`MaskProbe`] proves the
-/// flip can no longer matter (the flipped word was erased — clean
-/// overwrite or per-launch reset — without ever having been read, so the
-/// machine state is bit-identical to the fault-free run from that point
-/// on). Returns the replay result plus whether the early exit fired.
-fn drive_replay(
-    session: &mut Session<'_>,
-    golden: &GoldenRun,
-    site: FaultSite,
-    arch: &ArchConfig,
-    early_exit: bool,
-) -> (Result<Vec<u32>, SimError>, bool) {
-    if !early_exit {
-        return (session.run_to_completion(&mut NoopObserver), false);
-    }
-    let mut probe = MaskProbe::new(site, arch.num_sms as usize);
-    loop {
-        match session.step(&mut probe) {
-            Err(e) => return (Err(e), false),
-            Ok(SessionStatus::Finished) => {
-                let out = session
-                    .outputs()
-                    .expect("finished session has outputs")
-                    .to_vec();
-                return (Ok(out), false);
-            }
-            Ok(SessionStatus::Running) => {
-                if probe.provably_masked() {
-                    return (Ok(golden.outputs.clone()), true);
-                }
-            }
-        }
-    }
+    Ok(outcome)
 }
 
 /// Result of one bit-plane batched replay ([`classify_batch_on`]).
@@ -1078,9 +999,10 @@ pub(crate) struct BatchReplay {
 /// forked lane resumes from the latest snapshot at or before its fork
 /// trigger, materialises its overlay diff into physical state, re-arms
 /// its flip if still pending, and runs to completion under the scalar
-/// classification rules. A lane that never forks ended bit-identical
-/// to the golden run and is `Masked` by construction, so batched
-/// tallies are byte-identical to scalar replay.
+/// classification rules ([`classify_on`] with [`Start::Fork`]). A lane
+/// that never forks ended bit-identical to the golden run and is
+/// `Masked` by construction, so batched tallies are byte-identical to
+/// scalar replay.
 ///
 /// # Errors
 ///
@@ -1096,16 +1018,11 @@ pub(crate) fn classify_batch_on<H: TelemetryHook>(
     golden: &GoldenRun,
     batch: &[FaultSite],
     watchdog_factor: u64,
-    early_exit: bool,
     ckpt: Option<&Checkpoint>,
     hook: &H,
 ) -> Result<BatchReplay, SimError> {
     debug_assert!(!batch.is_empty() && batch.len() <= simt_sim::MAX_BATCH_SCENARIOS);
     debug_assert!(batch.iter().all(|s| s.is_transient()));
-    let watchdog = golden
-        .cycles
-        .saturating_mul(watchdog_factor)
-        .saturating_add(10_000);
     let start_cycle = ckpt.map_or(0, |ck| ck.cycle());
     debug_assert!(batch.iter().all(|s| s.cycle >= start_cycle));
     // Twice the ladder's rung density: a fork replays the stretch from
@@ -1139,7 +1056,9 @@ pub(crate) fn classify_batch_on<H: TelemetryHook>(
         } else {
             0
         };
-        session.gpu_mut().set_watchdog(watchdog);
+        session
+            .gpu_mut()
+            .set_watchdog(golden.watchdog(watchdog_factor));
         session.arm_scenarios(batch);
         snaps.push(session.snapshot());
         let mut next_snap = session.gpu().app_cycle() + interval;
@@ -1201,10 +1120,6 @@ pub(crate) fn classify_batch_on<H: TelemetryHook>(
             "campaign_batch_shared_cycles_total",
             shared_end.saturating_sub(start_cycle),
         );
-        hook.count(
-            "campaign_cycles_saved_total",
-            start_cycle.saturating_mul(batch.len() as u64),
-        );
         hook.count("sim_instructions_total", shared_instr);
     }
     // A shared pass that finished must have reproduced the golden output
@@ -1213,20 +1128,23 @@ pub(crate) fn classify_batch_on<H: TelemetryHook>(
     let broken = shared_broke || matches!(&finished_out, Some(out) if out != &golden.outputs);
     if broken {
         gpu.clear_scenarios();
-        let mut outcomes = Vec::with_capacity(batch.len());
-        for &site in batch {
-            outcomes.push(classify_on(
-                gpu,
-                arch,
-                workload,
-                golden,
-                site,
-                watchdog_factor,
-                early_exit,
-                ckpt,
-                hook,
-            )?);
-        }
+        let start = ckpt.map_or(Start::Zero, Start::Rung);
+        let outcomes = batch
+            .iter()
+            .map(|&site| {
+                classify_on(
+                    gpu,
+                    arch,
+                    workload,
+                    golden,
+                    site,
+                    watchdog_factor,
+                    start,
+                    &mut NoopObserver,
+                    hook,
+                )
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         return Ok(BatchReplay {
             outcomes,
             forks: forked.count_ones(),
@@ -1239,7 +1157,8 @@ pub(crate) fn classify_batch_on<H: TelemetryHook>(
     // flow, addressing, an atomic or host logic, so the shared pass
     // carried its complete faulty execution: if its divergence reached
     // the final output reads it is an SDC outright, otherwise `Masked`
-    // — either way the verdict is free.
+    // — either way the verdict is free, and the whole golden run counts
+    // as saved.
     let mut outcomes = vec![Outcome::Masked; batch.len()];
     for s in 0..batch.len() {
         if forked >> s & 1 == 0 {
@@ -1250,190 +1169,34 @@ pub(crate) fn classify_batch_on<H: TelemetryHook>(
                 }
             }
             if H::ENABLED {
-                hook.count(
-                    "campaign_cycles_saved_total",
-                    golden.cycles.saturating_sub(start_cycle),
-                );
+                hook.count("campaign_cycles_saved_total", golden.cycles);
             }
             continue;
         }
-        let site = batch[s];
         let snap = &snaps[fork_snap[s]];
-        let (result, end_cycle, instr, session_tel) = {
-            let mut session = Session::resume(&mut *gpu, snap);
-            let base = if H::ENABLED {
-                session.gpu().exec_totals().warp_instructions
-            } else {
-                0
-            };
-            session.gpu_mut().set_watchdog(watchdog);
-            session.gpu_mut().materialize_scenario(s);
-            // The snapshot was captured before the fault-application
-            // step of its own cycle (rung semantics), so a flip at or
-            // past the snapshot cycle is still pending and re-arms
-            // scalar; an earlier flip already lives in the overlay diff
-            // just materialised.
-            if site.cycle >= snap.cycle() {
-                session.gpu_mut().arm_fault(site);
-            }
-            let r = session.run_to_completion(&mut NoopObserver);
-            let tel = *session.telemetry();
-            let instr = if H::ENABLED {
-                session
-                    .gpu()
-                    .exec_totals()
-                    .warp_instructions
-                    .saturating_sub(base)
-            } else {
-                0
-            };
-            let end = session.gpu().app_cycle();
-            (r, end, instr, tel)
-        };
+        outcomes[s] = classify_on(
+            gpu,
+            arch,
+            workload,
+            golden,
+            batch[s],
+            watchdog_factor,
+            Start::Fork(snap, s),
+            &mut NoopObserver,
+            hook,
+        )?;
         if H::ENABLED {
             hook.count(
-                "campaign_cycles_replayed_total",
-                end_cycle.saturating_sub(snap.cycle()),
-            );
-            hook.count(
                 "campaign_batch_fork_cycles_total",
-                end_cycle.saturating_sub(snap.cycle()),
+                gpu.app_cycle().saturating_sub(snap.cycle()),
             );
-            hook.count(
-                "campaign_cycles_saved_total",
-                snap.cycle().saturating_sub(start_cycle),
-            );
-            hook.count("sim_instructions_total", instr);
-            if session_tel.restores > 0 {
-                hook.count("sim_restores_total", session_tel.restores);
-                hook.observe(
-                    "sim_restore_seconds",
-                    session_tel.restore_nanos as f64 * 1e-9,
-                );
-            }
         }
-        outcomes[s] = match result {
-            Ok(out) if out == golden.outputs => Outcome::Masked,
-            Ok(_) => Outcome::Sdc,
-            Err(SimError::Due(Due::WatchdogTimeout { .. })) => {
-                if H::ENABLED {
-                    record_watchdog_kill(
-                        gpu,
-                        arch,
-                        workload,
-                        golden,
-                        site,
-                        watchdog,
-                        snap.cycle(),
-                        hook,
-                    );
-                }
-                Outcome::Hang
-            }
-            Err(SimError::Due(_)) => Outcome::Due,
-            Err(e) => return Err(e),
-        };
     }
     Ok(BatchReplay {
         outcomes,
         forks: forked.count_ones(),
         fell_back: false,
     })
-}
-
-/// [`classify_on`] with a [`TraceObserver`] riding along: identical
-/// classification (the observer is passive), plus a per-injection
-/// [`TraceRecord`] of how the corruption propagated. `golden_writes` is
-/// the golden run's global-store stream captured by
-/// [`simt_sim::GlobalWriteLog`].
-///
-/// # Errors
-///
-/// Same as [`classify_on`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn classify_traced_on<H: TelemetryHook>(
-    gpu: &mut Gpu,
-    arch: &ArchConfig,
-    workload: &dyn Workload,
-    golden: &GoldenRun,
-    golden_writes: &[GlobalWrite],
-    site: FaultSite,
-    watchdog_factor: u64,
-    ckpt: Option<&Checkpoint>,
-    hook: &H,
-) -> Result<(Outcome, TraceRecord), SimError> {
-    // Saturating: a pathological `watchdog_factor` (up to `u64::MAX`)
-    // clamps to an effectively-infinite budget instead of overflowing.
-    let watchdog = golden
-        .cycles
-        .saturating_mul(watchdog_factor)
-        .saturating_add(10_000);
-    let resume_cycle = ckpt.map_or(0, |ck| ck.cycle());
-    let mut tracer = TraceObserver::new(site, arch.num_sms as usize, golden_writes, resume_cycle);
-    let (result, start_cycle, base_instructions, session_tel) = match ckpt {
-        Some(ck) => {
-            let mut session = Session::resume(&mut *gpu, ck);
-            let base = if H::ENABLED {
-                session.gpu().exec_totals().warp_instructions
-            } else {
-                0
-            };
-            session.gpu_mut().set_watchdog(watchdog);
-            session.gpu_mut().arm_fault(site);
-            let r = session.run_to_completion(&mut tracer);
-            let tel = *session.telemetry();
-            (r, ck.cycle(), base, tel)
-        }
-        None => {
-            *gpu = Gpu::new(arch.clone());
-            gpu.set_watchdog(watchdog);
-            gpu.arm_fault(site);
-            let r = workload.run(gpu, &mut tracer);
-            (r, 0, 0, simt_sim::SessionTelemetry::default())
-        }
-    };
-    if H::ENABLED {
-        hook.count(
-            "campaign_cycles_replayed_total",
-            gpu.app_cycle().saturating_sub(start_cycle),
-        );
-        hook.count("campaign_cycles_saved_total", start_cycle);
-        hook.count(
-            "sim_instructions_total",
-            gpu.exec_totals()
-                .warp_instructions
-                .saturating_sub(base_instructions),
-        );
-        if session_tel.restores > 0 {
-            hook.count("sim_restores_total", session_tel.restores);
-            hook.observe(
-                "sim_restore_seconds",
-                session_tel.restore_nanos as f64 * 1e-9,
-            );
-        }
-    }
-    let outcome = match result {
-        Ok(out) if out == golden.outputs => Outcome::Masked,
-        Ok(_) => Outcome::Sdc,
-        Err(SimError::Due(Due::WatchdogTimeout { .. })) => {
-            if H::ENABLED {
-                record_watchdog_kill(
-                    gpu,
-                    arch,
-                    workload,
-                    golden,
-                    site,
-                    watchdog,
-                    start_cycle,
-                    hook,
-                );
-            }
-            Outcome::Hang
-        }
-        Err(SimError::Due(_)) => Outcome::Due,
-        Err(e) => return Err(e),
-    };
-    Ok((outcome, tracer.into_record(arch.lds_banks)))
 }
 
 /// Runs a full statistical fault-injection campaign.
@@ -1488,65 +1251,14 @@ pub fn run_campaign_hooked<H: TelemetryHook>(
     hook: &H,
 ) -> Result<CampaignResult, SimError> {
     let golden = golden_run_hooked(arch, workload, hook)?;
-    run_campaign_with_golden_hooked(arch, workload, structure, cfg, &golden, hook)
+    let ladder = CheckpointLadder::build_hooked(arch, workload, &golden, &cfg, hook)?;
+    run_campaign_with_ladder_hooked(arch, workload, structure, cfg, &golden, &ladder, hook)
 }
 
-/// [`run_campaign`] against an already-captured golden run (saves the
-/// fault-free replay when several campaigns share one workload). Builds
-/// its own [`CheckpointLadder`]; callers running several structures over
-/// one golden run should build the ladder once and use
-/// [`run_campaign_with_ladder`].
-///
-/// # Errors
-///
-/// Propagates replay failures that are not fault classifications.
-pub fn run_campaign_with_golden(
-    arch: &ArchConfig,
-    workload: &dyn Workload,
-    structure: Structure,
-    cfg: CampaignConfig,
-    golden: &GoldenRun,
-) -> Result<CampaignResult, SimError> {
-    run_campaign_with_golden_hooked(arch, workload, structure, cfg, golden, &NoopHook)
-}
-
-/// [`run_campaign_with_golden`] with full telemetry through `hook`.
-///
-/// # Errors
-///
-/// Same as [`run_campaign_with_golden`].
-pub fn run_campaign_with_golden_hooked<H: TelemetryHook>(
-    arch: &ArchConfig,
-    workload: &dyn Workload,
-    structure: Structure,
-    cfg: CampaignConfig,
-    golden: &GoldenRun,
-    hook: &H,
-) -> Result<CampaignResult, SimError> {
-    let ladder = CheckpointLadder::build_hooked(arch, workload, golden, &cfg, hook)?;
-    run_campaign_with_ladder_hooked(arch, workload, structure, cfg, golden, &ladder, hook)
-}
-
-/// [`run_campaign`] against a shared golden run and checkpoint ladder.
-///
-/// # Errors
-///
-/// Propagates replay failures that are not fault classifications.
-pub fn run_campaign_with_ladder(
-    arch: &ArchConfig,
-    workload: &dyn Workload,
-    structure: Structure,
-    cfg: CampaignConfig,
-    golden: &GoldenRun,
-    ladder: &CheckpointLadder,
-) -> Result<CampaignResult, SimError> {
-    run_campaign_with_ladder_hooked(arch, workload, structure, cfg, golden, ladder, &NoopHook)
-}
-
-/// [`run_campaign_with_ladder`] with full telemetry through `hook`:
-/// per-outcome counters, per-injection latency, rung-hit distribution,
-/// replay cycles saved vs from-zero, throughput and a `campaign.done`
-/// event.
+/// [`run_campaign`] against a shared golden run and checkpoint ladder,
+/// with full telemetry through `hook`: per-outcome counters,
+/// per-injection latency, rung-hit distribution, replay cycles saved vs
+/// from-zero, throughput and a `campaign.done` event.
 ///
 /// When `cfg.prune` is set this captures a [`LifetimeOracle`] from one
 /// extra instrumented fault-free run and delegates to
@@ -1556,7 +1268,7 @@ pub fn run_campaign_with_ladder(
 ///
 /// # Errors
 ///
-/// Same as [`run_campaign_with_ladder`].
+/// Same as [`run_campaign`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_campaign_with_ladder_hooked<H: TelemetryHook>(
     arch: &ArchConfig,
@@ -1607,13 +1319,11 @@ pub fn run_campaign_with_ladder_hooked<H: TelemetryHook>(
 /// pool. Pruning is exact — tallies are bit-identical to an unpruned run
 /// at any job count — because a pruned flip is erased before any read
 /// could propagate it. Passing `None` disables pruning regardless of
-/// `cfg.prune` (and arms the per-replay early-exit probe when
-/// `cfg.early_exit` is set; with an oracle the probe is redundant, since
-/// every replayed site is read before its first clean overwrite).
+/// `cfg.prune`.
 ///
 /// # Errors
 ///
-/// Same as [`run_campaign_with_ladder`].
+/// Same as [`run_campaign`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_campaign_with_oracle_hooked<H: TelemetryHook>(
     arch: &ArchConfig,
@@ -1674,7 +1384,6 @@ pub fn run_campaign_with_oracle_hooked<H: TelemetryHook>(
                 .field("golden_cycles", golden.cycles)
                 .field("ladder_rungs", ladder.len())
                 .field("pruned", pruned)
-                .field("early_exit", cfg.early_exit && oracle.is_none())
                 .field("seconds", seconds)
                 .field("injections_per_second", per_second),
         );
@@ -1796,7 +1505,6 @@ mod tests {
             checkpoint_interval: 0,
             checkpoint_budget_bytes: 0,
             prune: true,
-            early_exit: true,
             fault_model: FaultModelKind::Transient,
             batch: true,
             convergence: 0,

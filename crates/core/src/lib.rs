@@ -74,11 +74,10 @@ pub use breakdown::{
     avf_by_bit, avf_by_phase, detailed_campaign, due_fraction, mbu_campaign, SiteOutcome,
 };
 pub use campaign::{
-    golden_run, golden_run_hooked, golden_run_with_ace, run_campaign, run_campaign_hooked,
-    run_campaign_parallel, run_campaign_parallel_hooked, run_campaign_with_golden,
-    run_campaign_with_golden_hooked, run_campaign_with_ladder, run_campaign_with_ladder_hooked,
-    run_campaign_with_oracle_hooked, run_injections, run_injections_checkpointed, CampaignConfig,
-    CampaignResult, CheckpointLadder, GoldenRun, Outcome, Tally,
+    golden_run, golden_run_hooked, run_campaign, run_campaign_hooked, run_campaign_parallel,
+    run_campaign_parallel_hooked, run_campaign_with_ladder_hooked, run_campaign_with_oracle_hooked,
+    run_injections, run_injections_checkpointed, CampaignConfig, CampaignResult, CheckpointLadder,
+    GoldenRun, Outcome, Tally,
 };
 pub use convergence::{
     ConvergenceMonitor, ConvergenceSnapshot, StratumProgress, DEFAULT_TARGET_MARGIN,

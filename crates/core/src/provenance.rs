@@ -16,16 +16,15 @@
 //! worker count).
 
 use crate::campaign::{
-    campaign_margin, control_population_bits, golden_run, sample_model_sites, CampaignConfig,
-    CampaignResult, CheckpointLadder, GoldenRun, Outcome, Tally,
+    campaign_margin, campaign_population, classify_on, golden_run, sample_model_sites,
+    CampaignConfig, CampaignResult, CheckpointLadder, GoldenRun, Outcome, Start, Tally,
 };
 use crate::runner::replay_sites_traced;
-use crate::stats::fault_population;
 use gpu_workloads::Workload;
 use grel_telemetry::{Event, TelemetryHook};
 use serde::{Deserialize, Serialize};
 use simt_sim::{
-    ArchConfig, FaultModelKind, FaultSite, GlobalWrite, GlobalWriteLog, Gpu, SimError, Structure,
+    ArchConfig, FaultSite, GlobalWrite, GlobalWriteLog, Gpu, SimError, Structure, TraceObserver,
     TraceRecord,
 };
 use std::fmt::Write as _;
@@ -487,19 +486,7 @@ pub fn run_campaign_with_provenance_hooked<H: TelemetryHook>(
         provenance.push(Provenance::from_trace(*o, r));
     }
     let aggregate = ProvenanceAggregate::from_records(arch, structure, &provenance);
-    let structure_bits = match cfg.fault_model {
-        FaultModelKind::Control => control_population_bits(arch),
-        _ => {
-            (match structure {
-                Structure::VectorRegisterFile => arch.rf_words_per_sm(),
-                Structure::LocalMemory => arch.lds_words_per_sm(),
-                Structure::ScalarRegisterFile => arch.srf_words_per_sm(),
-            }) as u64
-                * 32
-                * arch.num_sms as u64
-        }
-    };
-    let population = fault_population(structure_bits, golden.cycles);
+    let population = campaign_population(arch, structure, cfg.fault_model, golden.cycles);
     let result = CampaignResult {
         structure,
         tally,
@@ -615,17 +602,19 @@ pub fn trace_one(
     let golden = golden_run(arch, workload)?;
     let golden_writes = golden_write_log(arch, workload)?;
     let mut gpu = Gpu::new(arch.clone());
-    let (outcome, record) = crate::campaign::classify_traced_on(
+    let mut tracer = TraceObserver::new(site, arch.num_sms as usize, &golden_writes, 0);
+    let outcome = classify_on(
         &mut gpu,
         arch,
         workload,
         &golden,
-        &golden_writes,
         site,
         watchdog_factor,
-        None,
+        Start::Zero,
+        &mut tracer,
         &grel_telemetry::NoopHook,
     )?;
+    let record = tracer.into_record(arch.lds_banks);
     Ok(SingleTrace {
         site,
         golden_cycles: golden.cycles,

@@ -6,6 +6,7 @@ use crate::campaign::{
     run_campaign_with_oracle_hooked, CampaignConfig, CheckpointLadder, Tally, PHASE_GOLDEN,
 };
 use crate::epf::{eit, epf, FitBreakdown};
+use crate::runner::fan_out;
 use crate::sampling::{run_adaptive_with_context, SamplingPlan};
 use crate::stats::pearson;
 use gpu_workloads::Workload;
@@ -656,26 +657,18 @@ pub fn run_study_parallel_hooked<H: TelemetryHook>(
     let mut point_cfg = *cfg;
     point_cfg.campaign.threads = 1;
     let point_cfg = &point_cfg;
-    let per_worker: Vec<Vec<(usize, Result<EvalPoint, SimError>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|w| {
-                scope.spawn(move || {
-                    (w..n)
-                        .step_by(jobs)
-                        .map(|idx| {
-                            let workload = workloads[idx / archs.len()].as_ref();
-                            let arch = &archs[idx % archs.len()];
-                            (idx, evaluate_point_hooked(arch, workload, point_cfg, hook))
-                        })
-                        .collect()
-                })
+    // Each worker keeps going past a failed point, so the error reported
+    // below is the lowest-index point's, not the lowest worker's.
+    let per_worker: Vec<Vec<(usize, Result<EvalPoint, SimError>)>> = fan_out(jobs, |w| {
+        Ok((w..n)
+            .step_by(jobs)
+            .map(|idx| {
+                let workload = workloads[idx / archs.len()].as_ref();
+                let arch = &archs[idx % archs.len()];
+                (idx, evaluate_point_hooked(arch, workload, point_cfg, hook))
             })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("study worker panicked"))
-            .collect()
-    });
+            .collect())
+    })?;
     let mut slots: Vec<Option<Result<EvalPoint, SimError>>> = (0..n).map(|_| None).collect();
     for (idx, r) in per_worker.into_iter().flatten() {
         slots[idx] = Some(r);

@@ -257,12 +257,12 @@ impl FromStr for FaultModelKind {
 /// per-site [`FaultKind`] and the campaign-level [`FaultModelKind`].
 ///
 /// The soundness-critical method is [`FaultModel::overwrite_maskable`]:
-/// the lifetime-oracle pruner and the mask-probe early exit both reason
-/// "a clean write to the target word erases the fault, so a site whose
-/// next access is a write is Masked". That reasoning holds *only* for
-/// transient flips — a stuck-at fault re-asserts on every write and a
-/// control fault never lives in the overwritten storage at all — so every
-/// fast path must consult this predicate before skipping a replay.
+/// the lifetime-oracle pruner reasons "a clean write to the target word
+/// erases the fault, so a site whose next access is a write is Masked".
+/// That reasoning holds *only* for transient flips — a stuck-at fault
+/// re-asserts on every write and a control fault never lives in the
+/// overwritten storage at all — so every fast path must consult this
+/// predicate before skipping a replay.
 pub trait FaultModel {
     /// Stable label for telemetry and reports.
     fn label(&self) -> &'static str;
@@ -279,8 +279,7 @@ pub trait FaultModel {
     }
 
     /// A clean overwrite of the target word erases the fault, so
-    /// overwrite-based masking proofs (oracle pruning, mask-probe early
-    /// exit) are sound.
+    /// overwrite-based masking proofs (oracle pruning) are sound.
     fn overwrite_maskable(&self) -> bool {
         !self.is_persistent() && !self.targets_control_state()
     }

@@ -26,7 +26,6 @@ fn cfg(injections: u32, prune: bool, batch: bool) -> CampaignConfig {
     c.injections = injections;
     c.threads = 1;
     c.prune = prune;
-    c.early_exit = prune;
     c.batch = batch;
     c
 }

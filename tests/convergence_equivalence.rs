@@ -33,7 +33,6 @@ fn cfg_with(threads: usize, prune: bool, batch: bool) -> CampaignConfig {
     cfg.injections = 60;
     cfg.threads = threads;
     cfg.prune = prune;
-    cfg.early_exit = prune;
     cfg.batch = batch;
     cfg.convergence = 8;
     cfg

@@ -25,7 +25,6 @@ fn cfg(threads: usize) -> StudyConfig {
     // replays to trace, so give the structural tree real injection
     // spans to bite on.
     cfg.campaign.prune = false;
-    cfg.campaign.early_exit = false;
     cfg
 }
 

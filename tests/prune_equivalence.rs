@@ -1,5 +1,5 @@
 //! The lifetime-oracle fast path must only skip work, never change it.
-//! Campaign and study results with pruning and early-exit on have to be
+//! Campaign and study results with pruning on have to be
 //! bit-identical to full replay at any worker count, and on a hand-built
 //! kernel with a known dataflow the oracle's live-interval map must agree
 //! **exactly** with the refined ([`AceMode::WriteToLastRead`]) ACE count
@@ -24,36 +24,26 @@ fn assert_identical(a: &CampaignResult, b: &CampaignResult, label: &str) {
     assert_eq!(a.avf().to_bits(), b.avf().to_bits(), "{label}");
 }
 
-fn cfg(injections: u32, prune: bool, early_exit: bool) -> CampaignConfig {
+fn cfg(injections: u32, prune: bool) -> CampaignConfig {
     let mut c = CampaignConfig::quick(9);
     c.injections = injections;
     c.threads = 1;
     c.prune = prune;
-    c.early_exit = early_exit;
     c
 }
 
-/// One structure's campaign four ways — full replay, early-exit only,
-/// pruned, each at jobs 1/2/8 — all bit-identical to the jobs-1 full
+/// One structure's campaign two ways — full replay and pruned, each at
+/// jobs 1/2/8 — all bit-identical to the jobs-1 full
 /// replay.
 fn check_campaign_equivalence(workload: &dyn Workload, structure: Structure, injections: u32) {
     let arch = geforce_gtx_480();
-    let full = run_campaign_parallel(&arch, workload, structure, cfg(injections, false, false), 1)
-        .unwrap();
+    let full =
+        run_campaign_parallel(&arch, workload, structure, cfg(injections, false), 1).unwrap();
     for jobs in [1usize, 2, 8] {
-        for (prune, early_exit, label) in [
-            (false, false, "full replay"),
-            (false, true, "early-exit only"),
-            (true, true, "pruned"),
-        ] {
-            let run = run_campaign_parallel(
-                &arch,
-                workload,
-                structure,
-                cfg(injections, prune, early_exit),
-                jobs,
-            )
-            .unwrap();
+        for (prune, label) in [(false, "full replay"), (true, "pruned")] {
+            let run =
+                run_campaign_parallel(&arch, workload, structure, cfg(injections, prune), jobs)
+                    .unwrap();
             assert_identical(
                 &full,
                 &run,
@@ -90,7 +80,7 @@ fn study_tallies_are_prune_invariant_at_jobs_1_2_8() {
         Box::new(Histogram::new(512, 32, 13)),
     ];
     let study_cfg = |prune: bool| StudyConfig {
-        campaign: cfg(8, prune, prune),
+        campaign: cfg(8, prune),
         workload_seed: 13,
         fi_on_unused_lds: false,
         provenance: false,
@@ -128,7 +118,7 @@ fn pruning_fires_on_a_low_avf_workload() {
         &arch,
         &w,
         Structure::VectorRegisterFile,
-        cfg(32, true, true),
+        cfg(32, true),
         2,
         &hook,
     )
@@ -379,7 +369,7 @@ fn oracle_pruning_would_be_unsound_for_stuck_at_faults() {
         &probe,
         &golden,
         &stuck_twins,
-        cfg(stuck_twins.len() as u32, false, false),
+        cfg(stuck_twins.len() as u32, false),
     )
     .unwrap();
     assert!(
